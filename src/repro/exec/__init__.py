@@ -15,6 +15,9 @@ throughput:
   crash-safe worker recovery with bounded retries, a ``max_failures``
   circuit breaker, JSONL checkpoint/resume, and throughput/cache
   statistics.
+* :mod:`repro.exec.blas` — one BLAS thread per process for the whole
+  map: the pool supplies the parallelism, and the per-net solves are
+  too small for a threaded BLAS to split.
 
 Consumers: ``BlockAnalyzer.run(jobs=N)`` re-analyzes nets in parallel
 inside each fixed-point iteration, ``python -m repro screen --jobs N``

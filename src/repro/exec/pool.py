@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 
 from repro.core.analysis import DelayNoiseAnalyzer, NoiseReport
 from repro.core.net import CoupledNet
+from repro.exec.blas import set_blas_threads, single_threaded_blas
 from repro.exec.snapshot import build_snapshot, restore_analyzer, warm_analyzer
 from repro.obs import (
     Heartbeat,
@@ -329,6 +330,9 @@ def _worker_init(snapshot: dict, analyze_kwargs: dict,
     # only this worker's activity (the parent merges them back).
     set_tracer(Tracer(enabled=trace))
     mark_worker_process()
+    # Forked workers inherit the parent's single-threaded setting; set
+    # it here too so rebuilt pools and non-fork start methods match.
+    set_blas_threads(1)
     if fault_plan is not None:
         # A fresh copy per worker: fire counters are per-process.
         install_faults(fault_plan)
@@ -509,6 +513,7 @@ class _Breaker:
 # ----------------------------------------------------------------------
 # The map
 # ----------------------------------------------------------------------
+@single_threaded_blas()
 def analyze_nets(nets, *, jobs: int = 1,
                  analyzer: DelayNoiseAnalyzer | None = None,
                  timeout: float | None = None,
@@ -608,6 +613,11 @@ def analyze_nets(nets, *, jobs: int = 1,
     **analyze_kwargs:
         Forwarded to :meth:`DelayNoiseAnalyzer.analyze` (``alignment``,
         ``use_rtr``, ...).
+
+    All linear algebra in the call runs on one BLAS thread per process
+    (:mod:`repro.exec.blas`) — the parent's warm-up, the serial loop and
+    every worker alike — and the caller's thread count is restored on
+    return.
     """
     nets = list(nets)
     if jobs < 1:

@@ -66,7 +66,14 @@ def git_revision(cwd=None) -> dict:
 
 
 def host_info() -> dict:
-    """Host and toolchain identity for reproducing a run's environment."""
+    """Host and toolchain identity for reproducing a run's environment.
+
+    ``blas`` records the CPU budget: the OpenBLAS libraries loaded and
+    the thread count analysis runs with (:mod:`repro.exec.blas`).
+    """
+    # Imported here: repro.exec imports this package.
+    from repro.exec.blas import blas_info
+
     versions = {"python": platform.python_version()}
     for module_name in ("numpy", "scipy"):
         module = sys.modules.get(module_name)
@@ -82,6 +89,7 @@ def host_info() -> dict:
         "cpu_count": os.cpu_count(),
         "pid": os.getpid(),
         "versions": versions,
+        "blas": blas_info(),
     }
 
 
@@ -210,12 +218,20 @@ def format_manifest(payload: dict) -> str:
     revision = git.get("revision") or "unknown"
     dirty = " (dirty)" if git.get("dirty") else ""
     versions = host.get("versions", {})
+    cpus = f"{host.get('cpu_count')} cpus"
+    blas = host.get("blas")
+    if blas is not None:
+        if blas.get("libraries"):
+            cpus += (f", BLAS {blas.get('analysis_threads')} thread(s) "
+                     f"per analysis process in "
+                     f"{', '.join(blas['libraries'])}")
+        else:
+            cpus += ", no OpenBLAS found: BLAS threads left as loaded"
     lines = [
         f"run: {payload.get('command')} @ "
         f"{time.strftime('%Y-%m-%d %H:%M:%S', time.localtime(payload.get('created_at', 0)))}",
         f"git: {revision[:12]}{dirty}",
-        f"host: {host.get('hostname')} ({host.get('platform')}, "
-        f"{host.get('cpu_count')} cpus)",
+        f"host: {host.get('hostname')} ({host.get('platform')}, {cpus})",
         "versions: " + ", ".join(f"{k} {v}"
                                  for k, v in sorted(versions.items())),
         f"wall time: {payload.get('wall_time_s', 0.0):.2f} s",

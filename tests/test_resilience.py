@@ -344,14 +344,23 @@ class TestPoolResilience:
         assert result.reports[2] is not None
 
     def test_mixed_failure_types(self, analyzer, pool_nets):
-        """Timeout and convergence failures are tallied separately."""
+        """Timeout and convergence failures are tallied separately.
+
+        The timeout is sized from the healthy net's measured warm time
+        (so a slow host cannot time it out too), and the injected sleep
+        stays far above the timeout; the timeout cuts the sleep short,
+        so a long sleep costs nothing."""
+        analyzer.analyze(pool_nets[2], alignment="table")  # warm-up
+        t0 = time.perf_counter()
+        analyzer.analyze(pool_nets[2], alignment="table")
+        timeout = max(0.2, 10.0 * (time.perf_counter() - t0))
         plan = FaultPlan()
         plan.add("analysis.net", match="rn0", action="convergence")
         plan.add("analysis.net", match="rn1", action="sleep",
-                 seconds=5.0)
+                 seconds=20.0 * timeout)
         install_faults(plan)
         result = analyze_nets(pool_nets, jobs=1, analyzer=analyzer,
-                              timeout=0.2, alignment="table")
+                              timeout=timeout, alignment="table")
         assert result.stats.failures_by_type["ConvergenceError"] == 1
         assert result.stats.failures_by_type["NetTimeout"] == 1
         assert result.reports[2] is not None
